@@ -776,17 +776,11 @@ func BenchmarkMapV2KNN(b *testing.B) {
 // probabilistic-locator-plus-regenerated-name-map recipe locserved
 // uses, so rebuild cost in the numbers matches production.
 func liveRebuilder(db *trainingdb.DB) (*core.Service, error) {
-	loc, err := core.BuildLocator(core.AlgoProbabilistic, db, core.BuildConfig{})
+	in, err := core.New(core.WithDB(db), core.WithEntryNames())
 	if err != nil {
 		return nil, err
 	}
-	names := locmap.New()
-	for _, name := range db.Names() {
-		if err := names.Add(name, db.Entries[name].Pos); err != nil {
-			return nil, err
-		}
-	}
-	return &core.Service{DB: db, Locator: loc, Names: names}, nil
+	return in.Service, nil
 }
 
 // BenchmarkIngestReport is experiment A9a: the accept path of one

@@ -97,7 +97,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		mapFile      = fs.String("map-file", "", "compiled radio-map artifact (v2 binary) to serve, memory-mapped; replaces -db")
 		venueDir     = fs.String("venues", "", "artifact directory for multi-venue serving (<id>.ilr / <id>.tdb per venue); replaces -db/-map-file and exposes /v1/venues/{venue}/...")
 		venueBudget  = fs.Int64("venues-budget", 0, "LRU memory budget in bytes over resident venues (0 = unbounded)")
-		venueDefault = fs.String("default-venue", "", "venue the legacy unversioned routes alias onto (empty = aliases answer venue_not_found)")
+		venueDefault = fs.String("default-venue", "", "venue the unversioned routes serve (empty = they answer venue_not_found)")
 		venueWALDir  = fs.String("venues-wal-dir", "", "directory of per-venue ingest journals; gives every .tdb venue live training")
 		algo         = fs.String("algo", core.AlgoProbabilistic, fmt.Sprintf("algorithm %v", core.Algorithms()))
 		planPath     = fs.String("plan", "", "annotated plan supplying AP positions (geometric algorithms)")

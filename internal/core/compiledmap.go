@@ -8,16 +8,6 @@ import (
 	"indoorloc/internal/trainingdb"
 )
 
-// BuildLocatorFromCompiled constructs a registered algorithm directly
-// over a compiled radio-map view.
-//
-// Deprecated: use New with WithCompiled, WithAlgorithm and WithConfig;
-// the built locator is Instance.Service.Locator. This wrapper remains
-// for source compatibility.
-func BuildLocatorFromCompiled(name string, c *trainingdb.Compiled, cfg BuildConfig) (localize.Locator, error) {
-	return buildLocatorFromCompiled(name, c, cfg)
-}
-
 // buildLocatorFromCompiled constructs a registered algorithm directly
 // over a compiled radio-map view — the serving shape of a v2 artifact,
 // where the raw training database never existed in this process. Only
@@ -74,24 +64,4 @@ func buildLocatorFromCompiled(name string, c *trainingdb.Compiled, cfg BuildConf
 		}
 	}
 	return loc, nil
-}
-
-// ServiceFromCompiledFile opens a v2 radio-map artifact (memory-mapped
-// where supported), builds the named algorithm over it, and wraps it
-// as a ready-to-serve Service.
-//
-// The returned close is idempotent — every call after the first
-// returns the first call's error without re-closing — and error paths
-// inside this function always release the mapping themselves. Call it
-// only after the service has stopped answering (and nothing retains
-// estimate strings).
-//
-// Deprecated: use New with WithCompiledFile; the service is
-// Instance.Service and Instance.Close releases the mapping.
-func ServiceFromCompiledFile(path, algo string, cfg BuildConfig) (svc *Service, close func() error, err error) {
-	in, err := New(WithCompiledFile(path), WithAlgorithm(algo), WithConfig(cfg))
-	if err != nil {
-		return nil, nil, err
-	}
-	return in.Service, in.Close, nil
 }

@@ -84,16 +84,6 @@ type BuildConfig struct {
 	TopK int
 }
 
-// BuildLocator constructs a registered algorithm over a training
-// database.
-//
-// Deprecated: use New with WithDB, WithAlgorithm and WithConfig; the
-// built locator is Instance.Service.Locator. This wrapper remains for
-// source compatibility.
-func BuildLocator(name string, db *trainingdb.DB, cfg BuildConfig) (localize.Locator, error) {
-	return buildLocator(name, db, cfg)
-}
-
 // buildLocator constructs a registered algorithm over a training
 // database. The returned locator is warmed: compiled radio maps,
 // histogram tables and identifying codes are built here, once, so

@@ -42,10 +42,20 @@ func newFixture(t *testing.T) *fixture {
 	return &fixture{scen: scen, coll: coll, lm: lm, db: db, sc: sc}
 }
 
+// newLocator builds one algorithm through New, the package's public
+// constructor, and returns the warmed locator.
+func newLocator(name string, db *trainingdb.DB, cfg BuildConfig) (localize.Locator, error) {
+	in, err := New(WithDB(db), WithAlgorithm(name), WithConfig(cfg))
+	if err != nil {
+		return nil, err
+	}
+	return in.Service.Locator, nil
+}
+
 func TestAlgorithmsListMatchesRegistry(t *testing.T) {
 	f := newFixture(t)
 	for _, name := range Algorithms() {
-		loc, err := BuildLocator(name, f.db, BuildConfig{APPositions: f.scen.APPositions()})
+		loc, err := newLocator(name, f.db, BuildConfig{APPositions: f.scen.APPositions()})
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -58,36 +68,36 @@ func TestAlgorithmsListMatchesRegistry(t *testing.T) {
 
 func TestBuildLocatorErrors(t *testing.T) {
 	f := newFixture(t)
-	if _, err := BuildLocator("nope", f.db, BuildConfig{}); err == nil {
+	if _, err := newLocator("nope", f.db, BuildConfig{}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
-	if _, err := BuildLocator(AlgoProbabilistic, nil, BuildConfig{}); err == nil {
+	if _, err := newLocator(AlgoProbabilistic, nil, BuildConfig{}); err == nil {
 		t.Error("nil DB accepted")
 	}
-	if _, err := BuildLocator(AlgoGeometric, f.db, BuildConfig{}); err == nil {
+	if _, err := newLocator(AlgoGeometric, f.db, BuildConfig{}); err == nil {
 		t.Error("geometric without AP positions accepted")
 	}
 }
 
 func TestBuildLocatorKindsAndOptions(t *testing.T) {
 	f := newFixture(t)
-	nn, _ := BuildLocator(AlgoNNSS, f.db, BuildConfig{})
+	nn, _ := newLocator(AlgoNNSS, f.db, BuildConfig{})
 	if nn.Name() != "nnss" {
 		t.Errorf("nnss built %q", nn.Name())
 	}
-	knn, _ := BuildLocator(AlgoKNN, f.db, BuildConfig{K: 5})
+	knn, _ := newLocator(AlgoKNN, f.db, BuildConfig{K: 5})
 	if k, ok := knn.(*localize.KNN); !ok || k.K != 5 {
 		t.Errorf("knn K option lost: %#v", knn)
 	}
-	w, _ := BuildLocator(AlgoWKNN, f.db, BuildConfig{})
+	w, _ := newLocator(AlgoWKNN, f.db, BuildConfig{})
 	if k, ok := w.(*localize.KNN); !ok || !k.Weighted {
 		t.Error("wknn not weighted")
 	}
-	ls, _ := BuildLocator(AlgoGeometricLS, f.db, BuildConfig{APPositions: f.scen.APPositions()})
+	ls, _ := newLocator(AlgoGeometricLS, f.db, BuildConfig{APPositions: f.scen.APPositions()})
 	if g, ok := ls.(*localize.Geometric); !ok || g.Combine != localize.CombineLeastSquares {
 		t.Error("geometric-ls combiner wrong")
 	}
-	ml, _ := BuildLocator(AlgoProbabilistic, f.db, BuildConfig{FloorRSSI: -90})
+	ml, _ := newLocator(AlgoProbabilistic, f.db, BuildConfig{FloorRSSI: -90})
 	if m, ok := ml.(*localize.MaxLikelihood); !ok || m.FloorRSSI != -90 {
 		t.Error("floor option lost")
 	}

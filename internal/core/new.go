@@ -10,10 +10,9 @@ import (
 	"indoorloc/internal/trainingdb"
 )
 
-// New is the single entry point for constructing a serving state. It
-// replaces the constructor sprawl that grew with the toolkit —
-// BuildLocator, BuildLocatorFromCompiled, ServiceFromCompiledFile and
-// StaticSnapshot — behind one functional-options call:
+// New is the single entry point for constructing a serving state —
+// a warmed locator over one source, behind one functional-options
+// call:
 //
 //	in, err := core.New(core.WithDB(db), core.WithAlgorithm(core.AlgoKNN))
 //	in, err := core.New(core.WithCompiledFile("campus.ilr"))
@@ -72,7 +71,7 @@ func New(opts ...Option) (*Instance, error) {
 		svc = &Service{DB: c.Skeleton(), Locator: loc}
 		closeFn = closeMap
 		if o.names == nil && !o.entryNames {
-			// ServiceFromCompiledFile behaviour: the training locations
+			// An artifact carries no name map: the training locations
 			// themselves resolve names unless the caller overrides.
 			o.entryNames = true
 		}
@@ -154,8 +153,8 @@ func WithDB(db *trainingdb.DB) Option {
 }
 
 // WithCompiled serves a compiled radio-map view directly (the shape of
-// a decoded v2 artifact). Only the compiled-servable algorithms apply;
-// see BuildLocatorFromCompiled's doc for the list.
+// a decoded v2 artifact). Only the compiled-servable algorithms apply:
+// probabilistic, nnss, knn, wknn and sector.
 func WithCompiled(c *trainingdb.Compiled) Option {
 	return func(o *newOptions) { o.compiled = c }
 }

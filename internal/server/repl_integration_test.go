@@ -255,7 +255,7 @@ func TestFollowerLocateAllocParity(t *testing.T) {
 			serve(nw, req)
 		})
 	}
-	direct := run(f.follower.handleLocate)
+	direct := run(f.follower.handleVenueLocate)
 	full := run(f.follower.ServeHTTP)
 	t.Logf("follower /locate: direct=%.1f full=%.1f", direct, full)
 	if delta := full - direct; delta > 0.5 {

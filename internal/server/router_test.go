@@ -396,10 +396,10 @@ func TestRouterAllocParity(t *testing.T) {
 		return full - direct
 	}
 
-	if delta := measure("/locate", obs, f.srv.handleLocate); delta > 0.5 {
+	if delta := measure("/locate", obs, f.srv.handleVenueLocate); delta > 0.5 {
 		t.Errorf("front end adds %.2f allocs/request on /locate, want 0", delta)
 	}
-	if delta := measure("/locate/batch", batch, f.srv.handleLocateBatch); delta > 0.5 {
+	if delta := measure("/locate/batch", batch, f.srv.handleVenueLocateBatch); delta > 0.5 {
 		t.Errorf("front end adds %.2f allocs/request on /locate/batch, want 0", delta)
 	}
 }

@@ -53,15 +53,22 @@
 //
 // # Consistency model
 //
-// Handlers answer from an immutable core.Snapshot loaded once per
-// request from a core.SnapshotRegistry (one atomic pointer load).
-// A static server (New) wraps its service in a forever-current
-// snapshot; a live server (NewLive) reads whatever snapshot the ingest
-// compactor last published. Because the estimate, the symbolic name
-// and the room all resolve against the one snapshot the request
-// loaded, a hot swap mid-request can never produce a torn answer —
-// in-flight requests finish on the old world, new requests see the new
-// one.
+// Every server is venue-backed, and every serving handler runs one
+// frame: resolve the request's venue from a venue.Registry (the
+// /v1/venues/{venue} id, or the registry's default for the
+// unversioned routes), pin it, answer from the one immutable
+// core.Snapshot loaded from it, release. A single-venue server is the
+// one-venue case: New, NewLive and NewFollower wrap their snapshot
+// source in venue.Single, a registry whose one venue is its default
+// and is never evicted, so the pin is a map read plus a few atomics.
+// That venue serves a forever-current static snapshot (New), whatever
+// the ingest compactor last published (NewLive), or whatever the
+// replication follower last published (NewFollower). Because the
+// estimate, the symbolic name and the room all resolve against the
+// one snapshot the request loaded, a hot swap mid-request can never
+// produce a torn answer — in-flight requests finish on the old world,
+// new requests see the new one — and because the pin outlives the
+// answer, an eviction mid-request never unmaps the matrices it reads.
 //
 // /train/report accepts a single report
 //
@@ -110,17 +117,15 @@ const maxBatchBody = 8 << 20
 // serves every request from the snapshot current at the request's
 // start, so a live hot-swap never tears an in-flight answer.
 type Server struct {
-	reg *core.SnapshotRegistry
-	rt  *router
+	rt *router
 	// alog is the ring-buffer access logger; nil when not configured.
 	alog *accessLogger
-	// ing is the live training pipeline; nil for a static server (no
-	// /train/report endpoint, static /healthz counters).
-	ing *ingest.Manager
-	// venues is the multi-tenant registry; nil for a single-venue
-	// server. When set, reg and ing are nil and every serving route
-	// resolves its venue from the path (or the registry default).
+	// venues is the registry every serving route resolves its venue
+	// from: the fleet for NewMultiVenue, a venue.Single otherwise.
 	venues *venue.Registry
+	// mode records the constructor: it decides which routes exist and
+	// the /healthz + /metrics shape.
+	mode mode
 	// follower is the replication follower this server reads from; nil
 	// unless built with NewFollower. A follower server is read-only:
 	// /train/report answers 409 venue_frozen, and /healthz + /metrics
@@ -137,13 +142,29 @@ type Server struct {
 	// DefaultMaxBatch; adjust before serving.
 	MaxBatch int
 
-	// trackers maps client → *clientTrack. Each client carries its own
-	// lock, so one slow client's filter update never serializes the
-	// others' /track traffic.
+	// trackers maps venue-scoped client keys (trackKey) →
+	// *clientTrack. Each client carries its own lock, so one slow
+	// client's filter update never serializes the others' /track
+	// traffic.
 	trackers sync.Map
 	// newFilter builds the per-client tracking filter.
 	newFilter func() filter.PositionFilter
 }
+
+// mode is which public constructor built the server.
+type mode uint8
+
+const (
+	modeStatic   mode = iota // New: one frozen venue, no /train/report endpoint
+	modeLive                 // NewLive: one venue with a live ingest pipeline
+	modeFollower             // NewFollower: one read-only replicated venue
+	modeMulti                // NewMultiVenue: the /v1/venues namespace over a fleet
+)
+
+// singleVenueID names the one venue of a single-venue server. It
+// never appears in a response; it scopes the server's tracker keys
+// like any venue id.
+const singleVenueID = "default"
 
 // clientTrack is one client's tracking state plus the lock that
 // serializes updates to it. Filters are stateful and order-dependent,
@@ -211,7 +232,7 @@ func WithReplicationSource(src *repl.Source) Option {
 }
 
 // New builds a static server over a trained service: the service is
-// wrapped as the registry's one forever-current snapshot. filterFactory
+// wrapped as the one venue's forever-current snapshot. filterFactory
 // supplies the per-client tracking filter for /track; nil uses a
 // Kalman filter with defaults.
 func New(svc *core.Service, filterFactory func() filter.PositionFilter, opts ...Option) (*Server, error) {
@@ -219,7 +240,7 @@ func New(svc *core.Service, filterFactory func() filter.PositionFilter, opts ...
 	if err != nil {
 		return nil, errors.New("server: nil service")
 	}
-	return newServer(reg, nil, nil, nil, filterFactory, opts)
+	return newServer(venue.Single(singleVenueID, reg, nil), modeStatic, nil, filterFactory, opts)
 }
 
 // NewLive builds a server over a live ingest pipeline: requests are
@@ -230,7 +251,7 @@ func NewLive(mgr *ingest.Manager, filterFactory func() filter.PositionFilter, op
 	if mgr == nil {
 		return nil, errors.New("server: nil ingest manager")
 	}
-	return newServer(mgr.Registry(), mgr, nil, nil, filterFactory, opts)
+	return newServer(venue.Single(singleVenueID, mgr.Registry(), mgr), modeLive, nil, filterFactory, opts)
 }
 
 // NewFollower builds a read-only server over a started replication
@@ -243,10 +264,10 @@ func NewFollower(f *repl.Follower, filterFactory func() filter.PositionFilter, o
 	if f == nil || f.Registry() == nil {
 		return nil, errors.New("server: follower not started")
 	}
-	return newServer(f.Registry(), nil, nil, f, filterFactory, opts)
+	return newServer(venue.Single(singleVenueID, f.Registry(), nil), modeFollower, f, filterFactory, opts)
 }
 
-func newServer(reg *core.SnapshotRegistry, mgr *ingest.Manager, vr *venue.Registry, fol *repl.Follower, filterFactory func() filter.PositionFilter, opts []Option) (*Server, error) {
+func newServer(vr *venue.Registry, m mode, fol *repl.Follower, filterFactory func() filter.PositionFilter, opts []Option) (*Server, error) {
 	if filterFactory == nil {
 		filterFactory = func() filter.PositionFilter {
 			return &filter.Kalman{Dt: 1, ProcessNoise: 0.6, MeasurementNoise: 7}
@@ -257,9 +278,8 @@ func newServer(reg *core.SnapshotRegistry, mgr *ingest.Manager, vr *venue.Regist
 		opt(&o)
 	}
 	s := &Server{
-		reg:       reg,
-		ing:       mgr,
 		venues:    vr,
+		mode:      m,
 		follower:  fol,
 		replSrc:   o.replSrc,
 		MaxBatch:  DefaultMaxBatch,
@@ -279,10 +299,7 @@ func newServer(reg *core.SnapshotRegistry, mgr *ingest.Manager, vr *venue.Regist
 	if !o.noMetrics {
 		defs = append(defs, routeDef{name: "metrics", path: "/metrics", get: s.handleMetrics})
 	}
-	if vr != nil {
-		// The versioned namespace, plus the legacy unversioned routes as
-		// aliases onto the registry's default venue (the venue handlers
-		// fall back to the default when the path carries no venue id).
+	if m == modeMulti {
 		defs = append(defs,
 			routeDef{name: "venues", path: "/v1/venues", get: s.handleVenues},
 			routeDef{name: "venue_status", venue: true, path: "", get: s.handleVenueStatus},
@@ -295,33 +312,24 @@ func newServer(reg *core.SnapshotRegistry, mgr *ingest.Manager, vr *venue.Regist
 				post: s.handleVenueTrackPost, del: s.handleVenueTrackDelete, maxBody: bodyCap(defaultMaxBody)},
 			routeDef{name: "venue_train", venue: true, path: "/train/report",
 				post: s.handleVenueTrainReport, maxBody: bodyCap(maxTrainBody)},
-			routeDef{name: "locations", path: "/locations", get: s.handleVenueLocations},
-			routeDef{name: "locate", path: "/locate", post: s.handleVenueLocate, maxBody: bodyCap(defaultMaxBody)},
-			routeDef{name: "locate_batch", path: "/locate/batch", post: s.handleVenueLocateBatch, maxBody: bodyCap(maxBatchBody)},
-			routeDef{name: "track", path: "/track/", prefix: true,
-				post: s.handleVenueTrackPost, del: s.handleVenueTrackDelete, maxBody: bodyCap(defaultMaxBody)},
-			routeDef{name: "train_report", path: "/train/report",
-				post: s.handleVenueTrainReport, maxBody: bodyCap(maxTrainBody)},
 		)
-	} else {
-		defs = append(defs,
-			routeDef{name: "locations", path: "/locations", get: s.handleLocations},
-			routeDef{name: "locate", path: "/locate", post: s.handleLocate, maxBody: bodyCap(defaultMaxBody)},
-			routeDef{name: "locate_batch", path: "/locate/batch", post: s.handleLocateBatch, maxBody: bodyCap(maxBatchBody)},
-			routeDef{name: "track", path: "/track/", prefix: true,
-				post: s.handleTrackPost, del: s.handleTrackDelete, maxBody: bodyCap(defaultMaxBody)},
-		)
-		if mgr != nil {
-			defs = append(defs, routeDef{name: "train_report", path: "/train/report",
-				post: s.handleTrainReport, maxBody: bodyCap(maxTrainBody)})
-		}
-		if fol != nil {
-			// The follower is read-only: the endpoint exists so clients get
-			// a truthful 409 instead of a misleading 404, but reports
-			// belong at the trainer.
-			defs = append(defs, routeDef{name: "train_report", path: "/train/report",
-				post: s.handleTrainReportFrozen, maxBody: bodyCap(maxTrainBody)})
-		}
+	}
+	// The unversioned routes serve the registry's default venue through
+	// the same handlers (they fall back to the default when the path
+	// carries no venue id).
+	defs = append(defs,
+		routeDef{name: "locations", path: "/locations", get: s.handleVenueLocations},
+		routeDef{name: "locate", path: "/locate", post: s.handleVenueLocate, maxBody: bodyCap(defaultMaxBody)},
+		routeDef{name: "locate_batch", path: "/locate/batch", post: s.handleVenueLocateBatch, maxBody: bodyCap(maxBatchBody)},
+		routeDef{name: "track", path: "/track/", prefix: true,
+			post: s.handleVenueTrackPost, del: s.handleVenueTrackDelete, maxBody: bodyCap(defaultMaxBody)},
+	)
+	// A static server has no write path, so /train/report is no
+	// endpoint there (404). A follower mounts it to answer a truthful
+	// 409 instead: reports belong at the trainer.
+	if m != modeStatic {
+		defs = append(defs, routeDef{name: "train_report", path: "/train/report",
+			post: s.handleVenueTrainReport, maxBody: bodyCap(maxTrainBody)})
 	}
 	if o.replSrc != nil {
 		defs = append(defs,
@@ -367,14 +375,21 @@ func (s *Server) Close() error {
 // renders. Route indexes follow Metrics().Names().
 func (s *Server) Metrics() *metrics.Registry { return s.rt.metrics }
 
-// current returns the snapshot this request serves from. Load it once
-// per request; every lookup the answer needs must come from the same
-// snapshot.
-func (s *Server) current() *core.Snapshot { return s.reg.Current() }
-
-// Snapshot returns the snapshot currently being served — what a
-// request arriving now would answer from.
-func (s *Server) Snapshot() *core.Snapshot { return s.current() }
+// Snapshot returns the snapshot a single-venue server currently
+// serves — what a request arriving now would answer from. It is nil
+// for a multi-venue server: its snapshots belong to evictable venues,
+// and one handed out past the pin could alias an unmapped artifact.
+func (s *Server) Snapshot() *core.Snapshot {
+	if s.mode == modeMulti {
+		return nil
+	}
+	v, err := s.venues.Acquire(s.venues.DefaultID())
+	if err != nil {
+		return nil
+	}
+	defer v.Release()
+	return v.Snapshot()
+}
 
 // ServeHTTP implements http.Handler.
 //
@@ -515,7 +530,7 @@ func codeFor(status int, err error) string {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if s.venues != nil {
+	if s.mode == modeMulti {
 		st := s.venues.Stats()
 		writeJSON(w, http.StatusOK, map[string]any{
 			"status": "ok",
@@ -524,7 +539,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	snap := s.current()
+	v, ok := s.resolveVenue(w, r)
+	if !ok {
+		return
+	}
+	defer v.Release()
+	snap := v.Snapshot()
 	svc := snap.Service
 	body := map[string]any{
 		"status":     "ok",
@@ -534,8 +554,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"generation": snap.Generation,
 		"built_at":   snap.BuiltAt.UTC().Format(time.RFC3339Nano),
 	}
-	if s.ing != nil {
-		st := s.ing.Stats()
+	if mgr := v.Manager(); mgr != nil {
+		st := mgr.Stats()
 		body["ingest"] = st
 		if !st.LastSwap.IsZero() {
 			body["last_swap"] = st.LastSwap.UTC().Format(time.RFC3339Nano)
@@ -553,25 +573,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, core.Algorithms())
-}
-
-func (s *Server) handleLocations(w http.ResponseWriter, r *http.Request) {
-	s.locations(w, s.current().Service)
-}
-
-func (s *Server) locations(w http.ResponseWriter, svc *core.Service) {
-	type loc struct {
-		Name string  `json:"name"`
-		X    float64 `json:"x"`
-		Y    float64 `json:"y"`
-	}
-	db := svc.DB
-	out := make([]loc, 0, db.Len())
-	for _, name := range db.Names() {
-		e := db.Entries[name]
-		out = append(out, loc{Name: name, X: e.Pos.X, Y: e.Pos.Y})
-	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 // parseObservation extracts the observation from a request body.
@@ -627,10 +628,7 @@ func decodeStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
-	s.locate(w, r, s.current().Service)
-}
-
+// locate is /locate's body, answering from the pinned venue's service.
 func (s *Server) locate(w http.ResponseWriter, r *http.Request, svc *core.Service) {
 	obs, err := parseObservation(r)
 	if err != nil {
@@ -926,12 +924,9 @@ func (a *batchArena) decodeSlow(max int) (int, error) {
 	return n, nil
 }
 
-func (s *Server) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
-	// One snapshot answers the whole batch: the fan-out, the name and
-	// room lookups, and the reported algorithm all come from it.
-	s.locateBatch(w, r, s.current().Service)
-}
-
+// locateBatch is /locate/batch's body. One snapshot answers the whole
+// batch: the fan-out, the name and room lookups, and the reported
+// algorithm all come from it.
 func (s *Server) locateBatch(w http.ResponseWriter, r *http.Request, svc *core.Service) {
 	max := s.MaxBatch
 	if max <= 0 {
@@ -1000,102 +995,6 @@ func (s *Server) locateBatch(w http.ResponseWriter, r *http.Request, svc *core.S
 	w.Write(a.out.Bytes())
 }
 
-// trackClient extracts the client id from a .../track/{client} path —
-// the legacy /track/{client} and the venue tier's
-// /v1/venues/{venue}/track/{client} alike. The router guarantees the
-// suffix after the last /track/ is one non-empty segment — an unknown
-// subpath like /track/a/b never reaches these handlers (uniform 404).
-//
-//loclint:hotpath
-func trackClient(r *http.Request) string {
-	p := r.URL.Path
-	return p[strings.LastIndex(p, "/track/")+len("/track/"):]
-}
-
-func (s *Server) handleTrackDelete(w http.ResponseWriter, r *http.Request) {
-	s.trackDelete(w, r, "")
-}
-
-// trackDelete forgets keyPrefix+client's tracking state. keyPrefix
-// scopes the tracker table per venue ("" for a single-venue server).
-func (s *Server) trackDelete(w http.ResponseWriter, r *http.Request, keyPrefix string) {
-	client := trackClient(r)
-	key := client
-	if keyPrefix != "" {
-		key = keyPrefix + client
-	}
-	if _, existed := s.trackers.LoadAndDelete(key); !existed {
-		writeErrorCode(w, http.StatusNotFound, codeTrackNotFound, fmt.Errorf("no track for %q", client))
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "forgotten"})
-}
-
-func (s *Server) handleTrackPost(w http.ResponseWriter, r *http.Request) {
-	s.trackPost(w, r, s.current().Service, "")
-}
-
-func (s *Server) trackPost(w http.ResponseWriter, r *http.Request, svc *core.Service, keyPrefix string) {
-	client := trackClient(r)
-	key := client
-	if keyPrefix != "" {
-		key = keyPrefix + client
-	}
-	obs, err := parseObservation(r)
-	if err != nil {
-		writeError(w, decodeStatus(err), err)
-		return
-	}
-	est, err := svc.Locator.Locate(obs)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	// Per-client filter state is serialised under the client's own
-	// lock; the heavy Locate above ran outside it, and other
-	// clients' updates proceed in parallel. A DELETE racing this
-	// update may orphan the slot after we fetched it — the update
-	// then lands on state the next POST will rebuild, which is the
-	// same outcome as the DELETE arriving a moment later.
-	slotAny, ok := s.trackers.Load(key)
-	if !ok {
-		slotAny, _ = s.trackers.LoadOrStore(key, &clientTrack{})
-	}
-	slot := slotAny.(*clientTrack)
-	slot.mu.Lock()
-	if slot.tr == nil {
-		tr, err := track.New(svc.Locator, s.newFilter())
-		if err != nil {
-			slot.mu.Unlock()
-			s.trackers.Delete(key)
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		slot.tr = tr
-	}
-	pos := slot.tr.Filter.Update(est.Pos)
-	slot.mu.Unlock()
-	resp := locateResponse{
-		X:                pos.X,
-		Y:                pos.Y,
-		Location:         est.Name,
-		ConfidenceRadius: localize.ConfidenceRadius(est, 0.9),
-		Algorithm:        svc.Locator.Name(),
-	}
-	if svc.Names != nil {
-		if name, _, ok := svc.Names.Nearest(pos); ok {
-			resp.NearestName = name
-		}
-	}
-	for _, room := range svc.Rooms {
-		if room.Poly.Contains(pos) {
-			resp.Room = room.Name
-			break
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // metricsBufPool holds the scrape render buffers. One scrape borrows
 // one buffer; concurrent scrapes each get their own.
 var metricsBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
@@ -1108,7 +1007,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	defer metricsBufPool.Put(buf)
 	buf.Reset()
 	gauges := make([]metrics.Gauge, 0, 16)
-	if s.venues != nil {
+	var mgr *ingest.Manager
+	if s.mode == modeMulti {
 		st := s.venues.Stats()
 		gauges = append(gauges,
 			metrics.Gauge{Name: "indoorloc_venues_loaded",
@@ -1129,7 +1029,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				Help: "99th-percentile venue cold-load latency.", Value: st.ColdLoadP99.Seconds()},
 		)
 	} else {
-		snap := s.current()
+		v, ok := s.resolveVenue(w, r)
+		if !ok {
+			return
+		}
+		defer v.Release()
+		snap := v.Snapshot()
+		mgr = v.Manager()
 		gauges = append(gauges,
 			metrics.Gauge{Name: "indoorloc_snapshot_generation",
 				Help: "Radio-map generation of the serving snapshot.", Value: float64(snap.Generation)},
@@ -1151,8 +1057,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gauges = append(gauges, metrics.Gauge{Name: "indoorloc_accesslog_dropped_total", Counter: true,
 			Help: "Access-log entries lost to ring pressure.", Value: float64(s.alog.Dropped())})
 	}
-	if s.ing != nil {
-		st := s.ing.Stats()
+	if mgr != nil {
+		st := mgr.Stats()
 		gauges = append(gauges,
 			metrics.Gauge{Name: "indoorloc_ingest_accepted_total", Counter: true,
 				Help: "Reports journaled and queued.", Value: float64(st.Accepted)},
@@ -1225,61 +1131,6 @@ type trainRequest struct {
 // maxTrainBody bounds the /train/report request body, mirroring the
 // batch-locate bound.
 const maxTrainBody = 8 << 20
-
-func (s *Server) handleTrainReport(w http.ResponseWriter, r *http.Request) {
-	s.trainReport(w, r, s.ing)
-}
-
-// handleTrainReportFrozen is the follower's write path: always 409.
-// The same code (venue_frozen) as an artifact-backed venue — in both
-// cases the node serves a radio map it has no authority to mutate.
-func (s *Server) handleTrainReportFrozen(w http.ResponseWriter, r *http.Request) {
-	writeErrorCode(w, http.StatusConflict, codeVenueFrozen,
-		errors.New("read-only follower: submit training reports to the trainer"))
-}
-
-func (s *Server) trainReport(w http.ResponseWriter, r *http.Request, mgr *ingest.Manager) {
-	var req trainRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxTrainBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	reports := req.Reports
-	single := len(req.Report.Observation) > 0 || req.Report.Name != "" || req.Report.Pos != nil
-	switch {
-	case single && len(reports) > 0:
-		writeError(w, http.StatusBadRequest, errors.New("give one report or reports, not both"))
-		return
-	case single:
-		reports = []ingest.Report{req.Report}
-	case len(reports) == 0:
-		writeError(w, http.StatusBadRequest, errors.New("empty request: need a report or reports"))
-		return
-	}
-	if err := mgr.Submit(reports...); err != nil {
-		if errors.Is(err, ingest.ErrQueueFull) {
-			// The backpressure contract: nothing was journaled, the
-			// client should retry the whole batch after the advertised
-			// backoff.
-			secs := int(mgr.RetryAfter().Round(time.Second) / time.Second)
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			writeError(w, http.StatusTooManyRequests, err)
-			return
-		}
-		if errors.Is(err, ingest.ErrInvalidReport) {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"accepted": len(reports)})
-}
 
 // ActiveTracks returns the number of clients with tracking state.
 func (s *Server) ActiveTracks() int {

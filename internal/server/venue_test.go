@@ -10,8 +10,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"indoorloc/internal/geom"
+	"indoorloc/internal/ingest"
 	"indoorloc/internal/localize"
 	"indoorloc/internal/sim"
 	"indoorloc/internal/venue"
@@ -362,5 +364,42 @@ func TestVenueLocateAllocParity(t *testing.T) {
 	t.Logf("venue locate: direct=%.1f full=%.1f", direct, full)
 	if delta := full - direct; delta > 0.5 {
 		t.Errorf("venue resolution + front end adds %.2f allocs/request, want 0", delta)
+	}
+}
+
+// TestSingleVenueServerSnapshot: Server.Snapshot answers the serving
+// snapshot on every single-venue constructor, and nil — not a panic —
+// on a multi-venue server, where a snapshot handed out past the pin
+// could alias an evicted venue's unmapped artifact.
+func TestSingleVenueServerSnapshot(t *testing.T) {
+	svc, err := gridRebuilder(gridDB(25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	static, err := New(svc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap := static.Snapshot(); snap == nil || snap.Service != svc {
+		t.Errorf("static Snapshot() = %v, want the wrapped service", snap)
+	}
+	lf := newLiveFixture(t, ingest.Config{FlushReports: 1 << 20, FlushInterval: time.Hour})
+	if snap := lf.srv.Snapshot(); snap != lf.mgr.Registry().Current() {
+		t.Errorf("live Snapshot() = %v, want the manager's current snapshot", snap)
+	}
+	rf := newReplFixture(t)
+	if snap := rf.follower.Snapshot(); snap != rf.fol.Registry().Current() {
+		t.Errorf("follower Snapshot() = %v, want the follower's current snapshot", snap)
+	}
+	vf := newVenueFixture(t, 1, 1, venue.Config{Default: sim.VenueID(0, 0)})
+	if rec := vf.do(t, "POST", "/locate", venueObservation(t, 0, 0)); rec.Code != 200 {
+		t.Fatalf("default venue locate: %d %s", rec.Code, rec.Body)
+	}
+	if snap := vf.srv.Snapshot(); snap != nil {
+		t.Errorf("multi-venue Snapshot() = %v, want nil", snap)
+	}
+	// Only a multi-venue server exposes its registry.
+	if static.Venues() != nil || lf.srv.Venues() != nil || rf.follower.Venues() != nil || vf.srv.Venues() == nil {
+		t.Error("Venues() must be the registry for NewMultiVenue and nil for the single-venue constructors")
 	}
 }

@@ -12,6 +12,11 @@
 // evicted — dropped from the table and its mapping released once the
 // last in-flight request holding it finishes.
 //
+// A single-building server is the one-venue case of the same
+// machinery: Single wraps one snapshot source as a registry whose one
+// venue is resident for good, so every server answers through the
+// same Acquire/Release frame.
+//
 // # Reference counting
 //
 // Handlers hold one venue per request: Acquire pins the venue,
@@ -106,9 +111,9 @@ type Config struct {
 	// Ingest is the pipeline template for WALDir venues; WALPath is
 	// overridden per venue.
 	Ingest ingest.Config
-	// Default is the venue id the legacy unversioned routes (/locate,
-	// /track/..., /train/report) alias onto. Empty disables the
-	// aliases' target (they answer venue_not_found).
+	// Default is the venue id the unversioned routes (/locate,
+	// /track/..., /train/report) serve. Empty leaves them without a
+	// venue (they answer venue_not_found).
 	Default string
 }
 
@@ -170,8 +175,31 @@ func NewRegistry(cfg Config) (*Registry, error) {
 	}, nil
 }
 
-// DefaultID returns the venue the legacy unversioned routes alias
-// onto; empty when no default is configured.
+// Single returns a registry holding exactly one venue: the
+// single-building deployment as the one-venue case of the fleet. The
+// venue, id, serves whatever reg currently publishes (a static
+// snapshot, an ingest compactor's or a replication follower's) and
+// takes training reports through mgr, nil for a frozen map. It is the
+// registry's Default, stays resident (there is no budget to evict it
+// under), and its Acquire is the resident hot path. The registry has
+// no Dir: any other id answers ErrUnknownVenue without touching the
+// filesystem. The caller keeps ownership of reg's source and of mgr;
+// the registry never closes either.
+func Single(id string, reg *core.SnapshotRegistry, mgr *ingest.Manager) *Registry {
+	r := &Registry{
+		cfg:     Config{Default: id},
+		loading: make(map[string]*loadCall),
+		start:   time.Now(),
+	}
+	v := newVenue(id, reg, mgr, nil, 0)
+	v.touch(r)
+	r.venues.Store(id, v)
+	r.loaded.Add(1)
+	return r
+}
+
+// DefaultID returns the venue the unversioned routes serve; empty
+// when no default is configured.
 func (r *Registry) DefaultID() string { return r.cfg.Default }
 
 // Acquire pins the venue for one request and returns it; the caller
@@ -262,6 +290,9 @@ func (r *Registry) acquireSlow(id string) (*Venue, error) {
 // present, else the .tdb database (with a live ingest pipeline when
 // WALDir is configured).
 func (r *Registry) load(id string) (*Venue, error) {
+	if r.cfg.Dir == "" {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownVenue, id)
+	}
 	t0 := time.Now()
 	ilr := filepath.Join(r.cfg.Dir, id+".ilr")
 	if st, err := os.Stat(ilr); err == nil {
@@ -311,7 +342,7 @@ func (r *Registry) load(id string) (*Venue, error) {
 		if err != nil {
 			return nil, fmt.Errorf("venue %s: ingest: %w", id, err)
 		}
-		v := newVenue(id, mgr.Registry(), mgr, nil, st.Size())
+		v := newVenue(id, mgr.Registry(), mgr, mgr.Close, st.Size())
 		v.touch(r)
 		r.loadHist.Observe(time.Since(t0))
 		return v, nil
@@ -434,6 +465,9 @@ func (r *Registry) Status(id string) (Status, error) {
 	if !ValidID(id) {
 		return Status{}, fmt.Errorf("%w: %q", ErrInvalidID, id)
 	}
+	if r.cfg.Dir == "" {
+		return Status{}, fmt.Errorf("%w: %q", ErrUnknownVenue, id)
+	}
 	st := Status{ID: id}
 	if info, err := os.Stat(filepath.Join(r.cfg.Dir, id+".ilr")); err == nil {
 		st.Source, st.Bytes = "artifact", info.Size()
@@ -535,7 +569,9 @@ type Venue struct {
 	reg *core.SnapshotRegistry
 	mgr *ingest.Manager // non-nil for live (.tdb + WALDir) venues
 
-	closeFn func() error // releases the artifact mapping; may be nil
+	// closeFn releases what the venue owns — the artifact mapping or
+	// the ingest pipeline; nil when the caller owns the source (Single).
+	closeFn func() error
 	bytes   int64
 	// refs counts the registry's own reference (1 while resident) plus
 	// one per in-flight request. 0 means finalized; tryRef refuses to
@@ -581,8 +617,8 @@ func (v *Venue) Snapshot() *core.Snapshot { return v.reg.Current() }
 func (v *Venue) Manager() *ingest.Manager { return v.mgr }
 
 // Release unpins the venue after a request. The last release of an
-// evicted venue finalizes it (stops the ingest pipeline, releases the
-// artifact mapping).
+// evicted venue finalizes it (stops its ingest pipeline or releases
+// its artifact mapping).
 //
 //loclint:hotpath
 func (v *Venue) Release() { v.unref() }
@@ -598,9 +634,6 @@ func (v *Venue) unref() {
 // refs can never rise from 0 — on whatever goroutine dropped the last
 // reference (cold path by construction: eviction already happened).
 func (v *Venue) finalize() {
-	if v.mgr != nil {
-		v.mgr.Close()
-	}
 	if v.closeFn != nil {
 		v.closeFn()
 	}

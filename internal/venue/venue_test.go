@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"indoorloc/internal/core"
 	"indoorloc/internal/geom"
 	"indoorloc/internal/ingest"
 	"indoorloc/internal/localize"
@@ -432,5 +433,84 @@ func TestRegistryTDBAndLiveIngest(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(walDir, "live-0.wal")); err != nil {
 		t.Errorf("per-venue WAL missing: %v", err)
+	}
+}
+
+// TestSingleVenue: the one-venue registry a single-venue server wraps
+// its snapshot source in. Its venue is the resident default, Acquire
+// on it is the zero-allocation hot path, any other id is unknown
+// without a filesystem probe, and the registry never closes the
+// pipeline its caller owns.
+func TestSingleVenue(t *testing.T) {
+	db, err := sim.CityConfig{Seed: 42}.BuildVenueDB(0, 0)
+	if err != nil {
+		t.Fatalf("BuildVenueDB: %v", err)
+	}
+	rebuild := func(db *trainingdb.DB) (*core.Service, error) {
+		in, err := core.New(core.WithDB(db))
+		if err != nil {
+			return nil, err
+		}
+		return in.Service, nil
+	}
+	mgr, err := ingest.NewManager(db, rebuild, ingest.Config{WALPath: filepath.Join(t.TempDir(), "r.wal")})
+	if err != nil {
+		t.Fatalf("NewManager: %v", err)
+	}
+	defer mgr.Close()
+	r := Single("default", mgr.Registry(), mgr)
+	if got := r.DefaultID(); got != "default" {
+		t.Fatalf("DefaultID = %q, want default", got)
+	}
+	v, err := r.Acquire(r.DefaultID())
+	if err != nil {
+		t.Fatalf("Acquire: %v", err)
+	}
+	if v.Snapshot() != mgr.Registry().Current() || v.Manager() != mgr {
+		t.Errorf("venue does not serve the wrapped source")
+	}
+	v.Release()
+	allocs := testing.AllocsPerRun(1000, func() {
+		v, err := r.Acquire("default")
+		if err != nil {
+			t.Fatalf("Acquire: %v", err)
+		}
+		_ = v.Snapshot()
+		v.Release()
+	})
+	if allocs != 0 {
+		t.Errorf("Single Acquire/Snapshot/Release allocates %.1f/op, want 0", allocs)
+	}
+
+	// A venue file under the working directory must not be picked up:
+	// the registry has no directory, so its cold path answers unknown.
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cwd := cityDir(t, 1, 1)
+	if err := os.Chdir(cwd); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	other := sim.VenueID(0, 0)
+	if _, err := os.Stat(other + ".ilr"); err != nil {
+		t.Fatalf("fixture artifact missing: %v", err)
+	}
+	if _, err := r.Acquire(other); !errors.Is(err, ErrUnknownVenue) {
+		t.Errorf("Acquire(%q) = %v, want ErrUnknownVenue", other, err)
+	}
+	if _, err := r.Status(other); !errors.Is(err, ErrUnknownVenue) {
+		t.Errorf("Status(%q) = %v, want ErrUnknownVenue", other, err)
+	}
+	if st := r.Stats(); st.Loaded != 1 || st.Loads != 0 || st.LoadErrors != 0 || st.Evictions != 0 {
+		t.Errorf("stats %+v, want one resident venue and no loads", st)
+	}
+
+	// Close drops the registry's hold; the caller's pipeline stays open.
+	r.Close()
+	rep := ingest.Report{Name: "single-1", Pos: &ingest.ReportPos{X: 15, Y: 15}, Observation: observe(t, 0, 0)}
+	if err := mgr.Submit(rep); err != nil {
+		t.Errorf("Submit after registry Close: %v (the registry closed a manager it does not own)", err)
 	}
 }
